@@ -118,10 +118,10 @@ func BenchmarkTable3Config(b *testing.B) {
 // A single run is only a few milliseconds, short enough that host-level
 // interference swung recorded samples 5x. The work itself is exactly
 // deterministic (same allocation count every run), so each op executes a
-// batch of runs and reports the fastest observed so far in this process
-// as ns/op: the minimum estimates the interference-free scheduler cost,
-// and carrying it across -count repetitions keeps run-to-run variance
-// well under the 20% the BENCH_sweep.json deltas need to be meaningful.
+// batch of runs and reports the batch's fastest run as ns/op: the minimum
+// estimates the interference-free scheduler cost. Each -count repetition
+// reports its own batch minimum, so the repetitions are independent
+// samples.
 func BenchmarkFleet(b *testing.B) {
 	const fleetBenchRuns = 15
 	be := fleet.NewSimBackend(config.Default())
@@ -136,7 +136,7 @@ func BenchmarkFleet(b *testing.B) {
 	if _, err := mk().Run(machine.Memento); err != nil {
 		b.Fatal(err)
 	}
-	minNs := fleetBenchMin
+	minNs := int64(-1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < fleetBenchRuns; j++ {
@@ -158,13 +158,8 @@ func BenchmarkFleet(b *testing.B) {
 			}
 		}
 	}
-	fleetBenchMin = minNs
 	b.ReportMetric(float64(minNs), "ns/op")
 }
-
-// fleetBenchMin carries BenchmarkFleet's fastest observed run across
-// -count repetitions of one `go test` process.
-var fleetBenchMin = int64(-1)
 
 // fleetScaleFleet builds the fleet the scale benchmarks run: a canned
 // static cost model (no machine simulation, so scheduling is the only
@@ -192,10 +187,9 @@ func fleetScaleFleet(hosts, n int, gap uint64, opts ...fleet.Option) *fleet.Flee
 
 // benchFleetScale times fleetScaleFleet runs with the same min-of-N
 // methodology as BenchmarkFleet: GC outside the timed window, a batch of
-// runs per op, and the fastest sample carried across -count repetitions
-// through *carried.
-func benchFleetScale(b *testing.B, hosts, n int, gap uint64, runs int, carried *int64, opts ...fleet.Option) {
-	minNs := *carried
+// runs per op, and the batch's fastest run reported as ns/op.
+func benchFleetScale(b *testing.B, hosts, n int, gap uint64, runs int, opts ...fleet.Option) {
+	minNs := int64(-1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < runs; j++ {
@@ -214,15 +208,8 @@ func benchFleetScale(b *testing.B, hosts, n int, gap uint64, runs int, carried *
 			}
 		}
 	}
-	*carried = minNs
 	b.ReportMetric(float64(minNs), "ns/op")
 }
-
-var (
-	fleetScale1kMin  = int64(-1)
-	fleetScale10kMin = int64(-1)
-	fleetScaleRefMin = int64(-1)
-)
 
 // BenchmarkFleetScale measures the indexed engine at fleet scale: 1k
 // hosts x 100k invocations (always), and 10k hosts x 1M invocations
@@ -231,13 +218,13 @@ var (
 // offered load.
 func BenchmarkFleetScale(b *testing.B) {
 	b.Run("1k_hosts_100k_invs", func(b *testing.B) {
-		benchFleetScale(b, 1000, 100_000, 9000, 5, &fleetScale1kMin)
+		benchFleetScale(b, 1000, 100_000, 9000, 5)
 	})
 	b.Run("10k_hosts_1M_invs", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("10k-host point skipped in short mode")
 		}
-		benchFleetScale(b, 10_000, 1_000_000, 900, 1, &fleetScale10kMin)
+		benchFleetScale(b, 10_000, 1_000_000, 900, 1)
 	})
 }
 
@@ -249,7 +236,7 @@ func BenchmarkFleetScaleRef(b *testing.B) {
 	if testing.Short() {
 		b.Skip("reference-scan baseline skipped in short mode")
 	}
-	benchFleetScale(b, 1000, 100_000, 9000, 2, &fleetScaleRefMin, fleet.WithReferenceScans())
+	benchFleetScale(b, 1000, 100_000, 9000, 2, fleet.WithReferenceScans())
 }
 
 // BenchmarkWorkloadPair measures one full baseline+Memento comparison of a

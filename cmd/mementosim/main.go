@@ -4,9 +4,11 @@
 // machine-readable JSON (per-bucket cycles, component counters, and a
 // cycle-attribution timeline sampled every --timeline-interval events).
 //
-// SIGINT/SIGTERM before the run starts cancels it and exits 130; the
-// metrics JSON is written atomically (temp file + rename), so an
-// interrupted run never leaves a torn file.
+// SIGINT/SIGTERM exits 130 once the in-flight run returns (a single run
+// is the cancellation unit), before any result is printed. The metrics
+// JSON is written atomically (temp file + rename), and the context is
+// checked again before the rename, so an interrupted run leaves no new or
+// torn file.
 //
 // Usage:
 //
@@ -60,7 +62,10 @@ func run() int {
 		opts = append(opts, memento.WithTimeline(*interval))
 	}
 	r := memento.NewRunner(memento.DefaultConfig(), opts...)
-	base, mem, err := r.CompareContext(ctx, *name)
+	base, mem, err := r.Compare(*name)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mementosim:", err)
 		return cli.ExitCode(err)
@@ -98,7 +103,12 @@ func run() int {
 	fmt.Fprintf(tbl, "  bypassed lines:     %d\n", mem.HOT.BypassedLines)
 
 	if *metricsOut != "" {
-		write := func(w io.Writer) error { return memento.ExportRuns(w, base, mem) }
+		write := func(w io.Writer) error {
+			if err := memento.ExportRuns(w, base, mem); err != nil {
+				return err
+			}
+			return ctx.Err()
+		}
 		var werr error
 		if *metricsOut == "-" {
 			werr = write(os.Stdout)
@@ -107,7 +117,7 @@ func run() int {
 		}
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, "mementosim:", werr)
-			return cli.ExitFailure
+			return cli.ExitCode(werr)
 		}
 		if *metricsOut != "-" {
 			fmt.Fprintf(tbl, "\n  metrics written to %s (%d timeline samples per run)\n",

@@ -2,7 +2,9 @@
 // and writes it as JSON, for inspection or replay with RunTrace.
 //
 // The output file is written atomically (temp file + rename), so an
-// error or a SIGINT mid-write never leaves a torn trace.
+// error never leaves a torn trace. SIGINT/SIGTERM exits 130 and leaves no
+// new output file: the context is checked after generation and again
+// after encoding, before the rename.
 //
 // Usage:
 //
@@ -30,15 +32,23 @@ func run() int {
 	)
 	flag.Parse()
 
-	_, stop := cli.Context()
+	ctx, stop := cli.Context()
 	defer stop()
 
 	tr, err := memento.GenerateTrace(*name)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		return cli.ExitFailure
+		return cli.ExitCode(err)
 	}
-	write := func(w io.Writer) error { return tr.Encode(w) }
+	write := func(w io.Writer) error {
+		if err := tr.Encode(w); err != nil {
+			return err
+		}
+		return ctx.Err()
+	}
 	if *out == "" {
 		err = write(os.Stdout)
 	} else {
@@ -46,7 +56,7 @@ func run() int {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		return cli.ExitFailure
+		return cli.ExitCode(err)
 	}
 	if *out != "" {
 		s := tr.Summarize()

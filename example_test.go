@@ -7,8 +7,7 @@ import (
 )
 
 // ExampleRunner_Compare runs one serverless function on the baseline
-// software stack and on Memento and reports where the savings come from —
-// the option-based replacement for the deprecated positional Compare.
+// software stack and on Memento and reports where the savings come from.
 func ExampleRunner_Compare() {
 	r := memento.NewRunner(memento.DefaultConfig())
 	base, mem, err := r.Compare("aes")
@@ -24,8 +23,7 @@ func ExampleRunner_Compare() {
 	// kernel faults removed: true
 }
 
-// ExampleRunner_Run selects the stack and studies with functional options —
-// the replacement for the deprecated positional Run.
+// ExampleRunner_Run selects the stack and studies with functional options.
 func ExampleRunner_Run() {
 	cfg := memento.DefaultConfig()
 	warm, err := memento.NewRunner(cfg, memento.WithStack(memento.Memento)).Run("aes")
@@ -42,8 +40,8 @@ func ExampleRunner_Run() {
 	// cold start costs more: true
 }
 
-// ExampleRunner_RunMultiProcess time-shares one core among several traces —
-// the replacement for the deprecated positional RunMultiProcess.
+// ExampleRunner_RunMultiProcess time-shares one core among several traces
+// (the §6.6 multi-process study).
 func ExampleRunner_RunMultiProcess() {
 	tr, err := memento.GenerateTrace("aes")
 	if err != nil {

@@ -23,7 +23,7 @@ func main() {
 		traces = append(traces, tr)
 	}
 
-	results, err := memento.RunMultiProcess(cfg, traces, memento.Options{Stack: memento.Memento}, 2000)
+	results, err := memento.NewRunner(cfg, memento.WithStack(memento.Memento)).RunMultiProcess(traces, 2000)
 	if err != nil {
 		log.Fatal(err)
 	}

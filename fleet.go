@@ -117,13 +117,8 @@ func FleetConformance(mk func() FleetPolicy) error { return fleet.Conformance(mk
 
 // FleetExperiment runs the cluster-scale study — every arrival pattern
 // crossed with every shipped policy on both stacks — and returns it as a
-// rendered table (the `cmd/experiments -fleet` output).
-func FleetExperiment(s *experiments.Suite) (Experiment, error) {
-	return experiments.FleetStudy(s)
-}
-
-// FleetExperimentContext is FleetExperiment with cancellation at per-cell
-// (pattern x policy x stack) boundaries.
-func FleetExperimentContext(ctx context.Context, s *experiments.Suite) (Experiment, error) {
-	return experiments.FleetStudyContext(ctx, s)
+// rendered table (the `cmd/experiments -fleet` output). It stops with
+// ctx.Err() at the next (pattern x policy x stack) cell.
+func FleetExperiment(ctx context.Context, s *experiments.Suite) (Experiment, error) {
+	return experiments.FleetStudy(ctx, s)
 }

@@ -1,6 +1,7 @@
 package memento
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Skip("full experiment sweep; skipped under the race detector")
 	}
 	s := experiments.NewSuite(config.Default())
-	exps, err := s.All()
+	exps, err := s.All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestExperimentsWarmGolden(t *testing.T) {
 		t.Skip("full experiment sweep; skipped under the race detector")
 	}
 	s := experiments.NewSuite(config.Default())
-	e, err := experiments.WarmStarts(s)
+	e, err := experiments.WarmStarts(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := experiments.WarmBytes(s)
+	eb, err := experiments.WarmBytes(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestExperimentsFleetGolden(t *testing.T) {
 		t.Skip("full fleet sweep; skipped under the race detector")
 	}
 	s := experiments.NewSuite(config.Default())
-	e, err := experiments.FleetStudy(s)
+	e, err := experiments.FleetStudy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

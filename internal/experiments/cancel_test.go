@@ -70,23 +70,23 @@ func TestColdAndMallaccCancelDoesNotLatch(t *testing.T) {
 	}
 }
 
-// TestAllContextCancelled: the full evaluation surfaces the context error
-// from whichever stage it dies in.
-func TestAllContextCancelled(t *testing.T) {
+// TestAllCancelled: the full evaluation surfaces the context error from
+// whichever stage it dies in.
+func TestAllCancelled(t *testing.T) {
 	s := NewSuite(config.Default(), WithWorkers(2))
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.AllContext(dead); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AllContext = %v, want context.Canceled", err)
+	if _, err := s.All(dead); !errors.Is(err, context.Canceled) {
+		t.Fatalf("All = %v, want context.Canceled", err)
 	}
 	// Still reusable afterwards — but don't run the whole evaluation
 	// here; the base sweep succeeding is the reuse signal.
 	if _, err := s.Pairs(); err != nil {
-		t.Fatalf("Pairs after cancelled AllContext: %v", err)
+		t.Fatalf("Pairs after cancelled All: %v", err)
 	}
 }
 
-// TestWithProgressStreamsExperiments: AllContext reports each finished
+// TestWithProgressStreamsExperiments: All reports each finished
 // experiment through the progress hook, in emission order, exactly the
 // set it returns — the hook mementod's sweep jobs stream over SSE.
 func TestWithProgressStreamsExperiments(t *testing.T) {
@@ -96,7 +96,7 @@ func TestWithProgressStreamsExperiments(t *testing.T) {
 	var got []string
 	s := NewSuite(config.Default(),
 		WithProgress(func(e Experiment) { got = append(got, e.ID) }))
-	exps, err := s.AllContext(context.Background())
+	exps, err := s.All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,3 @@ func Export(w io.Writer, exps []Experiment) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(exps)
 }
-
-// Export runs the full evaluation on this suite (reusing its cached
-// workload sweep) and writes every experiment as JSON — the hook that lets
-// every figure regeneration also emit machine-readable artifacts.
-func (s *Suite) Export(w io.Writer) error {
-	exps, err := s.All()
-	if err != nil {
-		return err
-	}
-	return Export(w, exps)
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -96,14 +97,18 @@ func TestExportEmpty(t *testing.T) {
 	}
 }
 
-// TestSuiteExport: a seeded suite's Export must produce a JSON array with
-// every experiment carrying the stable field set.
+// TestSuiteExport: exporting a full evaluation must produce a JSON array
+// with every experiment carrying the stable field set.
 func TestSuiteExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
+	all, err := sharedSuite.All(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := sharedSuite.Export(&buf); err != nil {
+	if err := Export(&buf, all); err != nil {
 		t.Fatal(err)
 	}
 	var exps []map[string]any

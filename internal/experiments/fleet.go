@@ -12,14 +12,9 @@ import (
 // with every shipped keep-warm policy on both stacks, over one shared
 // machine-backed cost model so the whole table costs one (workload, stack)
 // measurement sweep. Not part of the paper's figures; printed by
-// `cmd/experiments -fleet` and pinned by experiments_fleet_output.txt.
-func FleetStudy(s *Suite) (Experiment, error) {
-	return FleetStudyContext(context.Background(), s)
-}
-
-// FleetStudyContext is FleetStudy with cancellation at per-cell
-// (pattern x policy x stack) boundaries.
-func FleetStudyContext(ctx context.Context, s *Suite) (Experiment, error) {
+// `cmd/experiments -fleet` and pinned by experiments_fleet_output.txt. It
+// stops with ctx.Err() at the next (pattern x policy x stack) cell.
+func FleetStudy(ctx context.Context, s *Suite) (Experiment, error) {
 	e := Experiment{
 		ID:    "fleet",
 		Title: "Fleet simulation: arrival pattern x keep-warm policy x stack",
@@ -59,7 +54,7 @@ func FleetStudyContext(ctx context.Context, s *Suite) (Experiment, error) {
 					fleet.WithHosts(hosts),
 					fleet.WithPolicy(mk()),
 					fleet.WithBackend(backend),
-					fleet.WithMeasureWorkers(s.Workers),
+					fleet.WithMeasureWorkers(s.workers),
 				)
 				r, err := f.Run(stack)
 				if err != nil {

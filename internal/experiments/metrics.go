@@ -35,15 +35,13 @@ func (s *Suite) ColdStarts() ([]ColdRun, error) {
 	return s.ColdStartsContext(context.Background())
 }
 
-// ColdStartsContext is ColdStarts with cancellation: the study stops at
-// the next per-workload boundary and returns ctx.Err() without latching
-// the memo, leaving the suite reusable.
+// ColdStartsContext is ColdStarts with cancellation at per-workload
+// boundaries; a cancelled study returns ctx.Err() and is not memoized.
 func (s *Suite) ColdStartsContext(ctx context.Context) ([]ColdRun, error) {
-	s.coldMu.Lock()
-	defer s.coldMu.Unlock()
-	if s.coldDone {
-		return s.colds, s.coldErr
-	}
+	return s.colds.get(ctx, s.coldStudy)
+}
+
+func (s *Suite) coldStudy(ctx context.Context) ([]ColdRun, error) {
 	pairs, err := s.PairsContext(ctx)
 	if err != nil {
 		return nil, err
@@ -56,17 +54,11 @@ func (s *Suite) ColdStartsContext(ctx context.Context) ([]ColdRun, error) {
 		p := pairs[prof.Name]
 		base, mem, err := machine.RunPair(s.Cfg, p.Trace, machine.Options{ColdStart: true})
 		if err != nil {
-			s.coldErr = fmt.Errorf("experiments: %s (cold): %w", prof.Name, err)
-			s.coldDone = true
-			return s.colds, s.coldErr
+			return nil, fmt.Errorf("experiments: %s (cold): %w", prof.Name, err)
 		}
 		colds = append(colds, ColdRun{Name: prof.Name, Warm: p.Speedup(), Cold: machine.Speedup(base, mem)})
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.colds, s.coldDone = colds, true
-	return s.colds, nil
+	return colds, nil
 }
 
 // MallaccRuns runs (once) the §6.7 idealized-Mallacc comparison over the
@@ -76,14 +68,13 @@ func (s *Suite) MallaccRuns() ([]MallaccRun, error) {
 	return s.MallaccRunsContext(context.Background())
 }
 
-// MallaccRunsContext is MallaccRuns with cancellation, with the same
-// no-latch-on-cancel contract as PairsContext.
+// MallaccRunsContext is MallaccRuns with cancellation at per-workload
+// boundaries; a cancelled study returns ctx.Err() and is not memoized.
 func (s *Suite) MallaccRunsContext(ctx context.Context) ([]MallaccRun, error) {
-	s.mallaccMu.Lock()
-	defer s.mallaccMu.Unlock()
-	if s.mallaccDone {
-		return s.mallaccs, s.mallaccErr
-	}
+	return s.mallaccs.get(ctx, s.mallaccStudy)
+}
+
+func (s *Suite) mallaccStudy(ctx context.Context) ([]MallaccRun, error) {
 	var runs []MallaccRun
 	for _, prof := range workload.ByLanguage(workload.Function, trace.Cpp) {
 		if err := ctx.Err(); err != nil {
@@ -91,17 +82,11 @@ func (s *Suite) MallaccRunsContext(ctx context.Context) ([]MallaccRun, error) {
 		}
 		c, err := mallacc.Run(s.Cfg, s.genTrace(prof))
 		if err != nil {
-			s.mallaccErr = fmt.Errorf("experiments: %s (mallacc): %w", prof.Name, err)
-			s.mallaccDone = true
-			return s.mallaccs, s.mallaccErr
+			return nil, fmt.Errorf("experiments: %s (mallacc): %w", prof.Name, err)
 		}
 		runs = append(runs, MallaccRun{Name: prof.Name, Mallacc: c.MallaccSpeedup(), Memento: c.MementoSpeedup()})
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mallaccs, s.mallaccDone = runs, true
-	return s.mallaccs, nil
+	return runs, nil
 }
 
 // ClassSpeedup returns the Fig 8 speedup for one workload class: the mean

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"memento/internal/config"
 	"memento/internal/machine"
 	"memento/internal/softalloc"
 	"memento/internal/stats"
@@ -242,33 +241,12 @@ func MallaccComparison(s *Suite) (Experiment, error) {
 	return e, nil
 }
 
-// All runs every experiment in the paper's order.
-func All(cfg config.Machine) ([]Experiment, error) {
-	return NewSuite(cfg).All()
-}
-
 // All runs every experiment in the paper's order on this suite, reusing
-// its cached workload sweep.
-func (s *Suite) All() ([]Experiment, error) {
-	return s.AllContext(context.Background())
-}
-
-// AllContext is All with cancellation. The heavy memoized sweeps (the
-// workload pair sweep, the §6.6 cold-start study, the §6.7 Mallacc study)
-// are primed with ctx first — a cancellation mid-sweep stops at the next
-// per-workload boundary — and the context is re-checked between the
-// remaining experiments, so a cancelled sweep job never runs to
-// completion. The rendered output is byte-identical to All's.
-func (s *Suite) AllContext(ctx context.Context) ([]Experiment, error) {
-	// Prime the memoized sweeps under ctx; the renderers below hit the
-	// memos and can no longer block on long measurement runs.
-	if _, err := s.PairsContext(ctx); err != nil {
-		return nil, err
-	}
-	if _, err := s.ColdStartsContext(ctx); err != nil {
-		return nil, err
-	}
-	if _, err := s.MallaccRunsContext(ctx); err != nil {
+// its cached workload sweep. The memoized sweeps are primed under ctx
+// first (see Prime), and the context is re-checked between the remaining
+// experiments, so a cancelled sweep job never runs to completion.
+func (s *Suite) All(ctx context.Context) ([]Experiment, error) {
+	if err := s.Prime(ctx); err != nil {
 		return nil, err
 	}
 	emit := func(out []Experiment) []Experiment {
@@ -317,17 +295,5 @@ func (s *Suite) AllContext(ctx context.Context) ([]Experiment, error) {
 	}
 	out = emit(append(out, ext))
 	out = emit(append(out, Table3Config(s)))
-	if s.warm {
-		w, err := WarmStartsContext(ctx, s)
-		if err != nil {
-			return out, err
-		}
-		out = emit(append(out, w))
-	}
-	if s.exportTo != nil {
-		if err := Export(s.exportTo, out); err != nil {
-			return out, err
-		}
-	}
 	return out, nil
 }

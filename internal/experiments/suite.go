@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -34,41 +32,53 @@ func (p Pair) Speedup() float64 { return machine.Speedup(p.Base, p.Mem) }
 // functional options, mirroring the Runner API:
 //
 //	s := experiments.NewSuite(cfg, experiments.WithWorkers(4))
-//	exps, err := s.All()
+//	exps, err := s.All(ctx)
 type Suite struct {
 	Cfg config.Machine
-	// Workers bounds the sweep's parallel fan-out. Zero or negative selects
-	// runtime.GOMAXPROCS(0), the scheduler's actual parallelism budget.
-	//
-	// Deprecated: set it with the WithWorkers suite option; the field
-	// remains as an alias and stays honored.
-	Workers int
 
-	warm     bool
-	exportTo io.Writer
+	// workers bounds the sweep's parallel fan-out. Zero or negative selects
+	// runtime.GOMAXPROCS(0), the scheduler's actual parallelism budget.
+	workers  int
 	progress func(Experiment)
 
-	// The three sweep memos latch only completed measurements: a sweep cut
-	// short by context cancellation is discarded, so the suite stays
-	// reusable after a cancelled job (the mementod cancellation contract).
-	// Each memo has its own mutex so ColdStarts may call Pairs while held.
-	pairsMu   sync.Mutex
-	pairsDone bool
-	pairs     map[string]*Pair
-	err       error
+	// The sweep memos let the figure renderers and the validation
+	// extractors (internal/validate) share one deterministic measurement
+	// set. Each memo has its own lock, so the cold-start study may read
+	// the pairs while its own memo is held.
+	pairs    memo[map[string]*Pair]
+	colds    memo[[]ColdRun]
+	mallaccs memo[[]MallaccRun]
+}
 
-	// coldMu/mallaccMu memoize the §6.6 cold-start and §6.7 Mallacc
-	// sweeps so the figure renderers and the validation extractors
-	// (internal/validate) share one deterministic measurement set.
-	coldMu   sync.Mutex
-	coldDone bool
-	colds    []ColdRun
-	coldErr  error
+// memo latches the first completed result of a computation, error
+// included. A computation whose context is cancelled is not latched: the
+// caller gets ctx.Err(), and a later call with a live context computes
+// afresh, so a suite stays reusable after a cancelled job (the mementod
+// cancellation contract). Concurrent callers serialize on the memo; the
+// first one runs the computation.
+type memo[T any] struct {
+	mu   sync.Mutex
+	done bool
+	val  T
+	err  error
+}
 
-	mallaccMu   sync.Mutex
-	mallaccDone bool
-	mallaccs    []MallaccRun
-	mallaccErr  error
+func (m *memo[T]) get(ctx context.Context, compute func(context.Context) (T, error)) (T, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.done {
+		return m.val, m.err
+	}
+	var zero T
+	if err := ctx.Err(); err != nil {
+		return zero, err
+	}
+	v, err := compute(ctx)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return zero, ctxErr
+	}
+	m.val, m.err, m.done = v, err, true
+	return v, err
 }
 
 // ColdRun is one function workload's warm-vs-cold speedup pair from the
@@ -94,15 +104,7 @@ type SuiteOption func(*Suite)
 
 // WithWorkers bounds the sweep's parallel fan-out (zero or negative
 // selects runtime.GOMAXPROCS(0)).
-func WithWorkers(n int) SuiteOption { return func(s *Suite) { s.Workers = n } }
-
-// WithWarm makes Suite.All append the warm-start study (the
-// `cmd/experiments -warm` table) after the paper's tables and figures.
-func WithWarm() SuiteOption { return func(s *Suite) { s.warm = true } }
-
-// WithExport makes Suite.All also write the returned experiments in their
-// stable JSON wire form to w on success (nil detaches).
-func WithExport(w io.Writer) SuiteOption { return func(s *Suite) { s.exportTo = w } }
+func WithWorkers(n int) SuiteOption { return func(s *Suite) { s.workers = n } }
 
 // WithProgress invokes fn after each experiment Suite.All completes, in
 // order (nil detaches). mementod streams sweep telemetry through this
@@ -128,7 +130,7 @@ func (s *Suite) genTrace(p workload.Profile) *trace.Trace {
 
 // workerCount resolves the effective fan-out for n jobs.
 func (s *Suite) workerCount(n int) int {
-	w := s.Workers
+	w := s.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -146,27 +148,26 @@ func (s *Suite) Pairs() (map[string]*Pair, error) {
 	return s.PairsContext(context.Background())
 }
 
-// PairsContext is Pairs with cancellation: a cancelled context stops the
-// sweep at the next per-workload boundary and returns ctx.Err() without
-// latching the memo, so a later call (with a live context) redoes the
-// sweep from scratch. Only a completed sweep is memoized. Concurrent
-// callers serialize on the memo; the sweep itself is run by whichever
-// caller gets there first.
+// PairsContext is Pairs with cancellation at per-workload boundaries; a
+// cancelled sweep returns ctx.Err() and is not memoized.
 func (s *Suite) PairsContext(ctx context.Context) (map[string]*Pair, error) {
-	s.pairsMu.Lock()
-	defer s.pairsMu.Unlock()
-	if s.pairsDone {
-		return s.pairs, s.err
+	return s.pairs.get(ctx, s.sweep)
+}
+
+// Prime runs the three memoized sweeps (the workload pairs, the §6.6
+// cold-start study and the §6.7 Mallacc study) under ctx, so the renderers
+// and validation extractors that read them afterwards never block on
+// measurement runs. Cancellation stops it at the next per-workload
+// boundary.
+func (s *Suite) Prime(ctx context.Context) error {
+	if _, err := s.PairsContext(ctx); err != nil {
+		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if _, err := s.ColdStartsContext(ctx); err != nil {
+		return err
 	}
-	pairs, err := s.sweep(ctx)
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-	s.pairs, s.err, s.pairsDone = pairs, err, true
-	return s.pairs, s.err
+	_, err := s.MallaccRunsContext(ctx)
+	return err
 }
 
 // sweep runs the full workload sweep. Workers stop picking up new
@@ -298,22 +299,11 @@ func f3(f float64) string { return fmt.Sprintf("%.3f", f) }
 
 // sortedNames returns workload names in canonical profile order.
 func sortedNames(pairs map[string]*Pair) []string {
-	names := workload.Names()
 	var out []string
-	for _, n := range names {
+	for _, n := range workload.Names() {
 		if _, ok := pairs[n]; ok {
 			out = append(out, n)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return indexOf(names, out[i]) < indexOf(names, out[j]) })
 	return out
-}
-
-func indexOf(ss []string, s string) int {
-	for i, v := range ss {
-		if v == s {
-			return i
-		}
-	}
-	return -1
 }

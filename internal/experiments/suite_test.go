@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 
@@ -57,7 +56,7 @@ func TestPairsConcurrentCallers(t *testing.T) {
 // and error, without running any simulation.
 func seededSuite(pairs map[string]*Pair, err error) *Suite {
 	s := &Suite{}
-	s.pairs, s.err, s.pairsDone = pairs, err, true
+	s.pairs.val, s.pairs.err, s.pairs.done = pairs, err, true
 	return s
 }
 
@@ -110,30 +109,21 @@ func TestPairsErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestSuiteOptions pins the functional-option wiring: WithWorkers is an
-// alias for the deprecated Workers field (both directions stay honored),
-// and WithWarm/WithExport arm the All() extensions without changing the
-// default path (the goldens pin that output byte for byte).
+// TestSuiteOptions pins the functional-option wiring: WithWorkers bounds
+// the fan-out, WithProgress attaches the hook, and a default suite is
+// zero-configured (GOMAXPROCS workers, no hook).
 func TestSuiteOptions(t *testing.T) {
-	s := NewSuite(config.Default(), WithWorkers(3))
-	if s.Workers != 3 {
-		t.Fatalf("WithWorkers(3) set Workers=%d", s.Workers)
+	s := NewSuite(config.Default(), WithWorkers(3), WithProgress(func(Experiment) {}))
+	if s.workerCount(100) != 3 {
+		t.Fatalf("WithWorkers(3): workerCount=%d", s.workerCount(100))
 	}
-	s.Workers = 5 // deprecated field write still wins afterwards
-	if s.workerCount(100) != 5 {
-		t.Fatalf("deprecated Workers field not honored: workerCount=%d", s.workerCount(100))
+	if s.workerCount(2) != 2 {
+		t.Fatalf("workerCount must not exceed the job count: %d", s.workerCount(2))
 	}
-
-	var buf strings.Builder
-	s = NewSuite(config.Default(), WithWarm(), WithExport(&buf))
-	if !s.warm {
-		t.Fatal("WithWarm did not arm the warm study")
+	if s.progress == nil {
+		t.Fatal("WithProgress did not attach the hook")
 	}
-	if s.exportTo != &buf {
-		t.Fatal("WithExport did not attach the writer")
-	}
-
-	if s := NewSuite(config.Default()); s.warm || s.exportTo != nil || s.Workers != 0 {
-		t.Fatalf("default suite not zero-configured: %+v", s)
+	if s := NewSuite(config.Default()); s.workers != 0 || s.progress != nil {
+		t.Fatal("default suite not zero-configured")
 	}
 }

@@ -136,7 +136,7 @@ func (s *Store) execSweep(j *Job) (json.RawMessage, error) {
 		experiments.WithProgress(func(e experiments.Experiment) {
 			j.log.append(EventExperiment, experimentNote{ID: e.ID, Title: e.Title, Rows: len(e.Rows)})
 		}))
-	exps, err := suite.AllContext(j.ctx)
+	exps, err := suite.All(j.ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func (s *Store) execSweep(j *Job) (json.RawMessage, error) {
 
 func (s *Store) execFleet(j *Job) (json.RawMessage, error) {
 	suite := experiments.NewSuite(s.cfg, experiments.WithWorkers(s.opt.SweepWorkers))
-	exp, err := experiments.FleetStudyContext(j.ctx, suite)
+	exp, err := experiments.FleetStudy(j.ctx, suite)
 	if err != nil {
 		return nil, err
 	}

@@ -17,18 +17,16 @@
 // Runner is the primary entry point: functional options (WithStack,
 // WithColdStart, WithMallaccIdeal, WithMmapPopulate, WithProbe,
 // WithTimeline) select the stack and studies, attach telemetry probes, and
-// record cycle-attribution timelines. The positional Run/RunTrace/Compare
-// functions are deprecated wrappers kept for compatibility.
+// record cycle-attribution timelines.
 //
 // Every table and figure of the paper's evaluation can be regenerated with
-// RunAllExperiments; machine-readable artifacts come from ExportRuns,
-// ExportExperiments, and Suite.Export.
+// NewSuite(cfg).All(ctx); machine-readable artifacts come from ExportRuns
+// and ExportExperiments.
 package memento
 
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"memento/internal/config"
 	"memento/internal/experiments"
@@ -105,34 +103,17 @@ func PrepareWarm(cfg Config, tr *Trace, opt Options) (*WarmStart, error) {
 
 // WarmStartsExperiment reports, per workload and stack, the setup cycles a
 // warm invocation skips re-simulating (the `cmd/experiments -warm` table).
-func WarmStartsExperiment(s *experiments.Suite) (Experiment, error) {
-	return experiments.WarmStarts(s)
-}
-
-// WarmStartsExperimentContext is WarmStartsExperiment with cancellation
-// at per-workload boundaries.
-func WarmStartsExperimentContext(ctx context.Context, s *experiments.Suite) (Experiment, error) {
-	return experiments.WarmStartsContext(ctx, s)
+// It stops with ctx.Err() at the next per-workload boundary.
+func WarmStartsExperiment(ctx context.Context, s *experiments.Suite) (Experiment, error) {
+	return experiments.WarmStarts(ctx, s)
 }
 
 // WarmBytesExperiment reports, per workload and stack, the full checkpoint
 // size against the bytes a steady-state warm restore actually copies (the
-// delta) — the second `cmd/experiments -warm` table.
-func WarmBytesExperiment(s *experiments.Suite) (Experiment, error) {
-	return experiments.WarmBytes(s)
-}
-
-// WarmBytesExperimentContext is WarmBytesExperiment with cancellation at
-// per-workload boundaries.
-func WarmBytesExperimentContext(ctx context.Context, s *experiments.Suite) (Experiment, error) {
-	return experiments.WarmBytesContext(ctx, s)
-}
-
-// RunAllExperiments regenerates every table and figure of the paper's
-// evaluation (Figs 2-3 and Table 1 from traces; Table 2 and Figs 8-14 plus
-// the Section 6.6/6.7 studies from full simulations).
-func RunAllExperiments(cfg Config) ([]Experiment, error) {
-	return experiments.All(cfg)
+// delta) — the second `cmd/experiments -warm` table. It stops with
+// ctx.Err() at the next per-workload boundary.
+func WarmBytesExperiment(ctx context.Context, s *experiments.Suite) (Experiment, error) {
+	return experiments.WarmBytes(ctx, s)
 }
 
 // SuiteOption configures a Suite the way RunOption configures a Runner.
@@ -141,14 +122,6 @@ type SuiteOption = experiments.SuiteOption
 // WithWorkers bounds the experiment sweep's parallel fan-out (zero or
 // negative selects runtime.GOMAXPROCS(0)).
 func WithWorkers(n int) SuiteOption { return experiments.WithWorkers(n) }
-
-// WithWarm makes Suite.All append the warm-start study after the paper's
-// tables and figures.
-func WithWarm() SuiteOption { return experiments.WithWarm() }
-
-// WithExport makes Suite.All also write the experiments in their stable
-// JSON wire form to w on success (nil detaches).
-func WithExport(w io.Writer) SuiteOption { return experiments.WithExport(w) }
 
 // NewSuite exposes the cached experiment runner for callers that want to
 // regenerate individual figures without repeating the workload sweep.

@@ -21,14 +21,14 @@ func TestGenerateTraceUnknown(t *testing.T) {
 
 func TestRunAndCompare(t *testing.T) {
 	cfg := DefaultConfig()
-	r, err := Run(cfg, "aes", Options{Stack: Baseline})
+	r, err := NewRunner(cfg, WithStack(Baseline)).Run("aes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Cycles == 0 {
 		t.Fatal("zero cycles")
 	}
-	base, mem, err := Compare(cfg, "aes", Options{})
+	base, mem, err := NewRunner(cfg).Compare("aes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunTraceCustom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunTrace(DefaultConfig(), tr, Options{Stack: Memento})
+	r, err := NewRunner(DefaultConfig(), WithStack(Memento)).RunTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package memento
 
 import (
-	"context"
 	"io"
 
 	"memento/internal/experiments"
@@ -39,8 +38,7 @@ type (
 //		memento.WithTimeline(2000))
 //	res, err := r.Run("html")
 //
-// Runner supersedes the positional Run/RunTrace/Compare entry points; the
-// zero Runner is usable and runs the baseline stack with defaults.
+// The zero Runner is usable and runs the baseline stack with defaults.
 type Runner struct {
 	cfg Config
 	opt Options
@@ -88,10 +86,6 @@ func WithTimeline(n int) RunOption {
 	}
 }
 
-// WithOptions overwrites the full option set — the escape hatch for presets
-// built around the legacy Options struct.
-func WithOptions(opt Options) RunOption { return func(o *Options) { *o = opt } }
-
 // NewRunner builds a Runner over cfg with the given options applied in
 // order.
 func NewRunner(cfg Config, opts ...RunOption) *Runner {
@@ -110,67 +104,37 @@ func (r *Runner) Options() Options { return r.opt }
 
 // Run executes one named workload on the configured stack.
 func (r *Runner) Run(name string) (Result, error) {
-	return r.RunContext(context.Background(), name)
-}
-
-// RunContext is Run with cancellation (see RunTraceContext for the
-// cancellation granularity).
-func (r *Runner) RunContext(ctx context.Context, name string) (Result, error) {
 	tr, err := GenerateTrace(name)
 	if err != nil {
 		return Result{}, err
 	}
-	return r.RunTraceContext(ctx, tr)
+	return r.RunTrace(tr)
 }
 
 // RunTrace executes an arbitrary trace on the configured stack. Each run
 // gets a fresh machine; repeated runs with the same setup reuse a
 // post-setup snapshot (see PrepareWarm and WithWarmStart), which changes
 // nothing about the results — warm runs are bit-identical to cold ones.
+//
+// A single run is the cancellation unit: cutting one short would leave no
+// usable result, so the Runner takes no context. Callers that must stop
+// early check their context between runs, as the sweep layers do.
 func (r *Runner) RunTrace(tr *Trace) (Result, error) {
-	return r.RunTraceContext(context.Background(), tr)
-}
-
-// RunTraceContext is RunTrace with cancellation. A single simulation run
-// is the cancellation granularity: a context cancelled before the run
-// starts returns ctx.Err() immediately, while a run already in flight
-// completes deterministically and returns its result (cancelling mid-run
-// would leave no usable partial result — the sweep layers check the
-// context between runs, which is where cancellation takes effect).
-func (r *Runner) RunTraceContext(ctx context.Context, tr *Trace) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
 	return machine.RunWarm(r.cfg, tr, r.opt)
 }
 
 // Compare runs a named workload on both stacks (fresh machines, identical
 // configuration), regardless of WithStack.
 func (r *Runner) Compare(name string) (base, mem Result, err error) {
-	return r.CompareContext(context.Background(), name)
-}
-
-// CompareContext is Compare with cancellation (the RunTraceContext
-// granularity).
-func (r *Runner) CompareContext(ctx context.Context, name string) (base, mem Result, err error) {
 	tr, err := GenerateTrace(name)
 	if err != nil {
 		return base, mem, err
 	}
-	return r.CompareTraceContext(ctx, tr)
+	return r.CompareTrace(tr)
 }
 
 // CompareTrace runs an arbitrary trace on both stacks.
 func (r *Runner) CompareTrace(tr *Trace) (base, mem Result, err error) {
-	return r.CompareTraceContext(context.Background(), tr)
-}
-
-// CompareTraceContext is CompareTrace with cancellation (the
-// RunTraceContext granularity).
-func (r *Runner) CompareTraceContext(ctx context.Context, tr *Trace) (base, mem Result, err error) {
-	if err := ctx.Err(); err != nil {
-		return base, mem, err
-	}
 	return machine.RunPair(r.cfg, tr, r.opt)
 }
 

@@ -7,44 +7,6 @@ import (
 	"testing"
 )
 
-// TestDeprecatedWrappersMatchRunner: the legacy positional entry points
-// must produce byte-identical results to the Runner they now wrap.
-func TestDeprecatedWrappersMatchRunner(t *testing.T) {
-	cfg := DefaultConfig()
-	opt := Options{Stack: Memento, ColdStart: true}
-
-	oldRun, err := Run(cfg, "aes", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRun, err := NewRunner(cfg, WithOptions(opt)).Run("aes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldRun, newRun) {
-		t.Fatalf("Run wrapper drifted from Runner:\nold: %+v\nnew: %+v", oldRun, newRun)
-	}
-
-	oldBase, oldMem, err := Compare(cfg, "jl", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newBase, newMem, err := NewRunner(cfg).Compare("jl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oldBuf, newBuf bytes.Buffer
-	if err := ExportRuns(&oldBuf, oldBase, oldMem); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExportRuns(&newBuf, newBase, newMem); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldBuf.Bytes(), newBuf.Bytes()) {
-		t.Fatal("Compare wrapper export drifted from Runner export")
-	}
-}
-
 // TestFunctionalOptions: each option must set exactly its field.
 func TestFunctionalOptions(t *testing.T) {
 	var probe CountingProbe
@@ -64,10 +26,6 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 	if n := NewRunner(DefaultConfig(), WithTimeline(-5)).Options().TimelineInterval; n != 0 {
 		t.Fatalf("negative timeline interval = %d, want 0", n)
-	}
-	// WithOptions resets everything set before it.
-	if o := NewRunner(DefaultConfig(), WithColdStart(), WithOptions(Options{})).Options(); o.ColdStart {
-		t.Fatal("WithOptions must overwrite prior options")
 	}
 }
 

@@ -21,7 +21,10 @@
 # negative = faster; omitted rather than NaN when no valid previous mean
 # exists). Files from the old single-benchmark format are read the same
 # way. min_ns_per_op records the fastest sample — the noise-robust number
-# to compare across runs on shared hosts.
+# to compare across runs on shared hosts. Each fleet benchmark sample is
+# the fastest run of its own internal batch; no minimum is carried between
+# -count repetitions, so the samples are independent and their mean and
+# spread are meaningful.
 set -eu
 
 cd "$(dirname "$0")/.."
